@@ -14,17 +14,20 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # race runs the full suite under the race detector — the parallel
 # solver kernels (internal/parallel, internal/solver) must stay
 # race-clean at every worker count the tests exercise.
 race:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 
-# equivalence re-runs the serial-vs-parallel equivalence and
+# equivalence re-runs the worker-count equivalence and
 # determinism suite twice (-count=2 catches run-to-run
 # nondeterminism that a single pass would miss). Batch and Engine
 # cover the multi-RHS solver and the persistent-pool path, which must

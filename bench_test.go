@@ -291,8 +291,8 @@ func BenchmarkAblationMemoryLayer(b *testing.B) {
 	b.ReportMetric(dT, "memory-layer-cost-K")
 }
 
-// solverOpts pins Workers to 1 (the exact legacy serial path) so the
-// end-to-end figure benchmarks stay comparable across machines with
-// different core counts; see internal/solver/bench_test.go for the
+// solverOpts pins Workers to 1 so the end-to-end figure benchmarks
+// time one core on every machine (results are identical at any worker
+// count); see internal/solver/bench_test.go for the
 // worker-count sweeps.
 func solverOpts() solver.Options { return solver.Options{Tol: 1e-6, MaxIter: 80000, Workers: 1} }

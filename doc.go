@@ -9,10 +9,10 @@
 //
 // The solver's hot path runs on a deterministic worker pool
 // (internal/parallel): solver.Options.Workers selects the width
-// (0 = one per CPU core, 1 = the exact serial legacy path), chunk
-// boundaries are independent of the worker count, and reductions
-// combine partials in a fixed order, so results are bit-identical
-// run-to-run and across worker counts ≥ 2. See DESIGN.md §6.
+// (0 = one per CPU core), chunk boundaries are independent of the
+// worker count, and reductions combine partials in a fixed order, so
+// results are bit-identical run-to-run and across every worker count.
+// See DESIGN.md §6.
 //
 // PCG offers three preconditioners (solver.Options.Precond): Jacobi,
 // z-line (per-column Thomas, the default for chip stacks), and

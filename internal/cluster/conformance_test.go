@@ -4,12 +4,12 @@ package cluster
 // response served through any node of a 2- or 4-node ring must be
 // byte-identical (after zeroing wall-clock fields) to what a
 // single-node server answers for the same request — cold solves,
-// peer-fetched cache hits, batch items, and trace streams alike. Run
-// under -race -count=2 by `make equivalence`.
+// peer-fetched cache hits, batch items, and trace streams alike, and
+// whatever SolverWorkers each node runs. Run under -race -count=2 by
+// `make equivalence`.
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -18,11 +18,21 @@ import (
 )
 
 func TestClusterConformance(t *testing.T) {
-	for _, n := range []int{2, 4} {
-		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
-			opts := ringOpts{}
-			ring := startRing(t, n, opts)
-			single := startSingle(t, opts)
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		workers []int
+	}{
+		{"nodes=2", 2, nil},
+		{"nodes=4", 4, nil},
+		// Nodes at different -workers still answer one key with one
+		// set of bytes: the worker count never changes a computed bit.
+		{"nodes=2-mixed-workers", 2, []int{1, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.nodes
+			ring := startRing(t, n, ringOpts{workers: tc.workers})
+			single := startSingle(t, ringOpts{})
 			corpus := conformanceCorpus(t)
 
 			// Pass 1 — cold: request k lands on node k%n; both sides

@@ -70,8 +70,16 @@ func newFaultTransport() *faultTransport {
 	}
 }
 
-func (f *faultTransport) block(hostport string)   { f.mu.Lock(); f.blocked[hostport] = true; f.mu.Unlock() }
-func (f *faultTransport) unblock(hostport string) { f.mu.Lock(); delete(f.blocked, hostport); f.mu.Unlock() }
+func (f *faultTransport) block(hostport string) {
+	f.mu.Lock()
+	f.blocked[hostport] = true
+	f.mu.Unlock()
+}
+func (f *faultTransport) unblock(hostport string) {
+	f.mu.Lock()
+	delete(f.blocked, hostport)
+	f.mu.Unlock()
+}
 func (f *faultTransport) delay(hostport string, d time.Duration) {
 	f.mu.Lock()
 	f.delays[hostport] = d
@@ -125,6 +133,7 @@ type ringOpts struct {
 	fetchTimeout time.Duration // 0 → 5s (CI under -race is slow)
 	batchWindow  time.Duration // per-node micro-batching window (0 = off)
 	maxBatch     int           // per-node window capacity (0 → serve default)
+	workers      []int         // per-node SolverWorkers (nil → 1 on every node)
 }
 
 // startRing boots an N-node cluster. Probing is disabled — fault
@@ -161,8 +170,12 @@ func startRing(tb testing.TB, n int, opts ringOpts) *testRing {
 			tb.Fatal(err)
 		}
 		node.clu = clu
+		workers := 1
+		if opts.workers != nil {
+			workers = opts.workers[i]
+		}
 		node.srv = serve.New(serve.Config{
-			SolverWorkers:    1,
+			SolverWorkers:    workers,
 			Parallel:         2,
 			QueueDepth:       32,
 			CacheSize:        opts.cacheSize,
@@ -307,15 +320,18 @@ func steadyReq(power float64) specio.EvalRequest {
 }
 
 // conformanceCorpus is the replayed request set: steady solves at
-// distinct powers (distinct content addresses), an rc-fidelity
-// request, and a transient request — every cacheable mode the service
-// has.
+// distinct powers (distinct content addresses), one on a grid large
+// enough to span several reduction chunks, an rc-fidelity request,
+// and a transient request — every cacheable mode the service has.
 func conformanceCorpus(tb testing.TB) [][]byte {
 	tb.Helper()
 	var reqs []specio.EvalRequest
 	for _, p := range []float64{10, 20, 30, 40, 55} {
 		reqs = append(reqs, steadyReq(p))
 	}
+	big := steadyReq(15)
+	big.Stack.NX, big.Stack.NY = 24, 24
+	reqs = append(reqs, big)
 	rc := steadyReq(25)
 	rc.Fidelity = specio.FidelityRC
 	reqs = append(reqs, rc)

@@ -88,10 +88,10 @@ func nearlyEqual(a, b, relTol float64) bool {
 }
 
 // Workers is the worker-goroutine count handed to every solver
-// invocation in this package (0 = one per CPU core, 1 = the exact
-// serial legacy path; see solver.Options.Workers). The figure sweeps
-// spend nearly all their time in steady/transient solves, so this is
-// the package's throughput knob — cmd/paperfigs exposes it as
+// invocation in this package (0 = one per CPU core; results are
+// identical at every count, see solver.Options.Workers). The figure
+// sweeps spend nearly all their time in steady/transient solves, so
+// this is the package's throughput knob — cmd/paperfigs exposes it as
 // -workers.
 var Workers int
 

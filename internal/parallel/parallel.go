@@ -1,17 +1,14 @@
 // Package parallel provides the reusable worker pool and the
 // deterministic data-parallel primitives behind the solver hot paths
-// (chunked SpMV, PCG reductions, red-black SOR sweeps, per-column
-// preconditioner fan-out). Stdlib only.
+// (chunked SpMV, PCG reductions, per-column preconditioner fan-out).
+// Stdlib only.
 //
 // Determinism contract: chunk boundaries depend only on the problem
 // size — never on the worker count or on scheduling — and reductions
-// combine per-chunk partial results sequentially in chunk order.
+// combine per-chunk partial results sequentially in chunk order. A
+// pool with 1 worker runs the same chunks inline in ascending order.
 // Consequently every primitive in this package returns bit-identical
-// results run-to-run at a fixed worker count, and identical results
-// across any worker count ≥ 2. A pool with 1 worker short-circuits to
-// plain serial loops (single full-range pass for reductions), which
-// is the solver's exact legacy path; it differs from the chunked
-// parallel reduction only by floating-point summation order.
+// results run-to-run and across every worker count, 1 included.
 package parallel
 
 import (
@@ -173,10 +170,6 @@ func (p *Pool) Affine() bool { return p.affine }
 // Workers returns the pool's worker count (≥ 1).
 func (p *Pool) Workers() int { return p.workers }
 
-// Serial reports whether the pool executes regions inline on the
-// calling goroutine (worker count 1).
-func (p *Pool) Serial() bool { return p.workers <= 1 }
-
 // Close shuts the helper goroutines down. Idempotent; the pool must
 // not be used afterwards.
 func (p *Pool) Close() {
@@ -249,12 +242,7 @@ func (p *Pool) For(n int, fn func(start, end int)) {
 		return
 	}
 	p.Run(NumChunks(n), func(_, c int) {
-		s := c * Grain
-		e := s + Grain
-		if e > n {
-			e = n
-		}
-		fn(s, e)
+		fn(chunkRange(n, c))
 	})
 }
 
@@ -284,30 +272,18 @@ func (p *Pool) ForGrain(n, grain int, fn func(worker, start, end int)) {
 
 // ReduceSum computes Σ fn(start, end) over fixed Grain-sized chunks
 // of [0, n), combining the per-chunk partial sums sequentially in
-// chunk order — deterministic at any worker count ≥ 2. With 1 worker
-// it performs a single full-range fn(0, n) call (the exact serial
-// summation order). scratch, when non-nil, must have at least
-// NumChunks(n) capacity and avoids a per-call allocation.
+// ascending chunk order — one summation order at every worker count.
+// scratch, when non-nil, must have at least NumChunks(n) capacity and
+// avoids a per-call allocation.
 func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if p.workers <= 1 {
-		return fn(0, n)
-	}
 	nc := NumChunks(n)
-	if nc <= serialCutoffChunks {
-		// Inline, no scratch: accumulate the per-chunk partials
-		// in ascending chunk order — the same order the
-		// dispatched path sums its partial array, so the result
-		// is bit-identical.
+	if p.workers <= 1 || nc <= serialCutoffChunks {
+		// Inline, no scratch: accumulate the per-chunk partials in
+		// ascending chunk order — the same order the dispatched path
+		// sums its partial array, so the result is bit-identical.
 		sum := 0.0
 		for c := 0; c < nc; c++ {
-			s := c * Grain
-			e := s + Grain
-			if e > n {
-				e = n
-			}
+			s, e := chunkRange(n, c)
 			sum += fn(s, e)
 		}
 		return sum
@@ -317,16 +293,18 @@ func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float
 	}
 	partial := scratch[:nc]
 	p.Run(nc, func(_, c int) {
-		s := c * Grain
-		e := s + Grain
-		if e > n {
-			e = n
-		}
-		partial[c] = fn(s, e)
+		partial[c] = fn(chunkRange(n, c))
 	})
 	sum := 0.0
 	for _, v := range partial {
 		sum += v
 	}
 	return sum
+}
+
+// chunkRange returns the bounds [start, end) of Grain chunk c of n
+// elements.
+func chunkRange(n, c int) (start, end int) {
+	start = c * Grain
+	return start, min(start+Grain, n)
 }

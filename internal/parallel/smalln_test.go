@@ -33,9 +33,8 @@ func TestSmallRegionRunsInline(t *testing.T) {
 }
 
 // TestSmallReduceBitIdentical: the scratch-free small-n ReduceSum path
-// is bit-identical to both the serial single pass at 1 worker (for
-// single-chunk inputs) and to a large pool's result, and no scratch is
-// needed.
+// is bit-identical to a large pool's result and to the explicit
+// chunk-ordered reference, and no scratch is needed.
 func TestSmallReduceBitIdentical(t *testing.T) {
 	a := make([]float64, serialCutoffChunks*Grain)
 	rng := uint64(7)

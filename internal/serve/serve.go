@@ -35,8 +35,8 @@
 // /healthz flips to 503 during drain. Graceful shutdown drains
 // in-flight requests, rejecting new ones.
 //
-// Determinism: everything above the solver is routing. For a fixed
-// SolverWorkers the solver is bit-reproducible, the cache stores the
+// Determinism: everything above the solver is routing. The solver is
+// bit-reproducible at any SolverWorkers, the cache stores the
 // solved field verbatim (and ships it between nodes as exact IEEE-754
 // bits), and coalesced followers share the leader's result object, so
 // cached, coalesced, and peer-fetched responses are bitwise identical

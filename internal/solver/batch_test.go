@@ -35,7 +35,7 @@ func withQ(p *Problem, q []float64) *Problem {
 
 // TestBatchEquivalenceIndependentSolves: every batch item is bitwise
 // identical to an independent SolveSteady, for each preconditioner at
-// Workers 1 (exact serial path) and 8 (chunked reductions).
+// Workers 1 (chunks run inline) and 8 (chunks dispatched to the pool).
 func TestBatchEquivalenceIndependentSolves(t *testing.T) {
 	rng := &eqRNG{s: 0xBA7C4}
 	p := randomProblem(t, rng, 14, 12, 10) // 1680 cells, 2 reduction chunks

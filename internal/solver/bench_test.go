@@ -10,17 +10,16 @@ import (
 // Parallel-kernel benchmark notes. Figures below are from the CI
 // container (1 vCPU, Xeon @ 2.10 GHz, GOMAXPROCS=1) — on one CPU
 // extra workers can only add scheduling overhead, so the workers=1
-// column is the seed-parity regression baseline (it takes the exact
-// legacy serial code path) and the multi-worker columns bound the
-// pool overhead. On multi-core hardware the chunked SpMV and
-// reductions scale near-linearly until memory bandwidth saturates,
-// which is where the ≥2× target at 4 workers on ≥64×64×24 grids
-// comes from.
+// column is the regression baseline and the multi-worker columns
+// bound the pool overhead. Every worker count runs the same chunked
+// arithmetic (workers=1 executes the chunks inline), so the columns
+// differ only in scheduling, never in results. On multi-core hardware
+// the chunked SpMV and reductions scale near-linearly until memory
+// bandwidth saturates, which is where the ≥2× target at 4 workers on
+// ≥64×64×24 grids comes from.
 //
-//	BenchmarkSteadyZLine64Workers/workers=1    309 ms/op   (64×64×26, exact legacy path)
+//	BenchmarkSteadyZLine64Workers/workers=1    309 ms/op   (64×64×26)
 //	BenchmarkSteadyZLine64Workers/workers=4    328 ms/op   (1-CPU pool overhead ~6%)
-//	BenchmarkSteadySOR64Workers/workers=1     4.38 s/op    (lexicographic sweep)
-//	BenchmarkSteadySOR64Workers/workers=4     2.83 s/op    (red-black converges in fewer sweeps here even on 1 CPU)
 //	BenchmarkOperatorApplyWorkers/workers=1   0.91 ms/op   (106k cells; flat to workers=8 on 1 CPU)
 //	BenchmarkTransientStepWorkers/workers=1   38.1 ms/op   (workers=4: 41.5 ms — per-step pool spin-up included)
 //
@@ -166,8 +165,7 @@ var benchWorkerCounts = []int{1, 2, 4, 8}
 
 // BenchmarkSteadyZLine64Workers times the full steady solve on the
 // 64×64×26-cell 12-tier stack (the ≥64×64×24 acceptance grid) across
-// worker counts. workers=1 takes the exact legacy serial path and is
-// the seed-parity baseline.
+// worker counts. workers=1 is the regression baseline.
 func BenchmarkSteadyZLine64Workers(b *testing.B) {
 	p := benchStack(b, 64)
 	for _, w := range benchWorkerCounts {
@@ -184,8 +182,7 @@ func BenchmarkSteadyZLine64Workers(b *testing.B) {
 // BenchmarkSteadyMG96Workers is the tiled-multigrid acceptance
 // measurement: the full steady MGCG solve on the 96×96×26-cell
 // 12-tier stack, per preconditioner precision tier, across worker
-// counts. workers=1 f64 is the seed-parity baseline (bitwise pinned
-// to the pre-tiling implementation by the equivalence suite); the
+// counts. workers=1 f64 is the regression baseline; the
 // workers=8/workers=1 ratio is the scaling figure recorded in
 // BENCH_solver.json — on the 1-vCPU CI box it can only measure pool
 // overhead, the multi-core ratio requires real cores.
@@ -233,22 +230,6 @@ func BenchmarkMGCyclePrecision(b *testing.B) {
 			mg.apply(r, z)
 		}
 	})
-}
-
-// BenchmarkSteadySOR64Workers times the red-black parallel SOR path
-// (workers ≥ 2) against the lexicographic serial sweep (workers=1) on
-// the same acceptance grid.
-func BenchmarkSteadySOR64Workers(b *testing.B) {
-	p := benchStack(b, 64)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := SolveSteadySOR(p, 1.5, Options{Tol: 1e-5, MaxIter: 200000, Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkOperatorApplyWorkers isolates the chunked SpMV kernel —

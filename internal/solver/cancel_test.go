@@ -101,26 +101,6 @@ func TestSolveSteadyPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSORCancellation: the SOR sweep honors the same contract.
-func TestSORCancellation(t *testing.T) {
-	rng := &eqRNG{s: 4}
-	p := randomProblem(t, rng, 12, 12, 8)
-	for _, workers := range cancelWorkerCounts {
-		baseline := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := SolveSteadySOR(p, 1.5, Options{Tol: 1e-10, MaxIter: 100000, Workers: workers, Ctx: ctx})
-		ce, ok := AsConvergenceError(err)
-		if !ok || ce.Reason != ReasonCancelled {
-			t.Fatalf("workers=%d: want cancelled ConvergenceError, got %v", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("error does not unwrap to context.Canceled: %v", err)
-		}
-		checkNoGoroutineLeak(t, baseline)
-	}
-}
-
 // TestTransientCancellation: a deadline context stops a transient run
 // between steps (or inside a step) with a wrapped context error.
 func TestTransientCancellation(t *testing.T) {

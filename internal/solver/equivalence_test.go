@@ -1,17 +1,13 @@
 package solver
 
-// Serial-vs-parallel equivalence and determinism suite. The parallel
-// kernels (Options.Workers ≥ 2) promise:
+// Worker-count equivalence and determinism suite. The kernels promise
+// one arithmetic path at every Options.Workers value:
 //
 //  1. bit-identical results run-to-run at a fixed worker count,
-//  2. bit-identical results across any worker count ≥ 2 (chunk
-//     boundaries depend only on problem size, reductions combine in
-//     chunk order),
-//  3. agreement with the exact legacy serial path (Workers=1) within
-//     1e-12 relative — the two differ only by floating-point
-//     summation order in the PCG dot products (problems smaller than
-//     one reduction chunk are bitwise identical even serial-vs-
-//     parallel), and by sweep ordering for red-black SOR.
+//  2. bit-identical results across every worker count, 1 included —
+//     chunk boundaries depend only on problem size, reductions combine
+//     chunk partials in ascending chunk order, and one worker runs the
+//     same chunks inline.
 //
 // Run with `go test -run Equivalence -count=2 -race` (the Makefile
 // `equivalence` target) to catch scheduling-dependent nondeterminism.
@@ -124,9 +120,9 @@ func bitIdentical(a, b []float64) bool {
 	return true
 }
 
-// equivalenceSizes mixes problems below the reduction chunk size
-// (where serial and parallel are bitwise identical) with larger ones
-// that genuinely exercise the chunked deterministic reductions.
+// equivalenceSizes mixes problems below the reduction chunk size with
+// larger ones that genuinely exercise the chunked deterministic
+// reductions.
 var equivalenceSizes = [][3]int{
 	{3, 4, 5},
 	{7, 6, 4},
@@ -136,42 +132,45 @@ var equivalenceSizes = [][3]int{
 	{24, 20, 12}, // 5760 cells, 6 chunks
 }
 
-// TestEquivalenceSteady: for randomized problems and both
-// preconditioners, the parallel steady solve matches the serial
-// legacy path within 1e-12 relative.
+// equivalenceWorkers are the worker counts every bitwise equivalence
+// test compares: the inline single-worker path plus dispatched pools.
+var equivalenceWorkers = []int{1, 2, 4, 8}
+
+// TestEquivalenceSteady: for randomized problems, every preconditioner
+// and both precision tiers, the steady solve is bitwise identical at
+// Workers 1, 2, 4 and 8.
 func TestEquivalenceSteady(t *testing.T) {
 	rng := &eqRNG{s: 0xA11CE}
 	for round, size := range equivalenceSizes {
 		p := randomProblem(t, rng, size[0], size[1], size[2])
 		for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
-			opts := Options{Tol: 1e-13, MaxIter: 100000, Precond: pc}
-			optsSer := opts
-			optsSer.Workers = 1
-			ser, err := SolveSteady(p, optsSer)
-			if err != nil {
-				t.Fatalf("round %d precond %d serial: %v", round, pc, err)
-			}
-			optsPar := opts
-			optsPar.Workers = 4
-			par, err := SolveSteady(p, optsPar)
-			if err != nil {
-				t.Fatalf("round %d precond %d parallel: %v", round, pc, err)
-			}
-			if d := relDiff(ser.T, par.T); d > 1e-12 {
-				t.Errorf("round %d precond %d: serial vs parallel rel diff %g > 1e-12", round, pc, d)
+			for _, prec := range []Precision{F64, F32} {
+				var ref *Result
+				for _, w := range equivalenceWorkers {
+					r, err := SolveSteady(p, Options{Tol: 1e-13, MaxIter: 100000, Precond: pc, Precision: prec, Workers: w})
+					if err != nil {
+						t.Fatalf("round %d %v/%v workers=%d: %v", round, pc, prec, w, err)
+					}
+					if ref == nil {
+						ref = r
+					} else if !bitIdentical(ref.T, r.T) || ref.Iterations != r.Iterations {
+						t.Errorf("round %d %v/%v: workers=%d differs bitwise from workers=1 (rel %g, iterations %d vs %d)",
+							round, pc, prec, w, relDiff(ref.T, r.T), r.Iterations, ref.Iterations)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestEquivalenceDeterminism: repeated parallel solves are bitwise
-// identical at a fixed worker count, and — the stronger property the
-// fixed-chunk reductions buy — across different worker counts ≥ 2.
+// TestEquivalenceDeterminism: repeated solves are bitwise identical at
+// a fixed worker count, and — the stronger property the fixed-chunk
+// reductions buy — across different worker counts.
 func TestEquivalenceDeterminism(t *testing.T) {
 	rng := &eqRNG{s: 0xD37E12}
 	p := randomProblem(t, rng, 20, 16, 12) // 3840 cells, 4 reduction chunks
 	var ref []float64
-	for _, w := range []int{2, 2, 3, 4, 8} {
+	for _, w := range []int{1, 1, 2, 3, 4, 8} {
 		r, err := SolveSteady(p, Options{Tol: 1e-13, MaxIter: 100000, Precond: ZLine, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -179,58 +178,13 @@ func TestEquivalenceDeterminism(t *testing.T) {
 		if ref == nil {
 			ref = r.T
 		} else if !bitIdentical(ref, r.T) {
-			t.Errorf("workers=%d: field differs bitwise from workers=2 reference (rel %g)", w, relDiff(ref, r.T))
+			t.Errorf("workers=%d: field differs bitwise from workers=1 reference (rel %g)", w, relDiff(ref, r.T))
 		}
 	}
 }
 
-// TestEquivalenceSOR: the red-black parallel sweep converges to the
-// same fixed point as the serial lexicographic sweep. The two
-// iteration paths differ, so the fields agree at the level set by
-// the residual tolerance (not bitwise); determinism across worker
-// counts is still exact.
-func TestEquivalenceSOR(t *testing.T) {
-	rng := &eqRNG{s: 0x50A}
-	for _, size := range [][3]int{{6, 5, 4}, {12, 10, 8}} {
-		p := randomProblem(t, rng, size[0], size[1], size[2])
-		opts := Options{Tol: 1e-12, MaxIter: 400000}
-		optsSer := opts
-		optsSer.Workers = 1
-		ser, err := SolveSteadySOR(p, 1.6, optsSer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optsPar := opts
-		optsPar.Workers = 4
-		par, err := SolveSteadySOR(p, 1.6, optsPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(ser.T, par.T); d > 1e-8 {
-			t.Errorf("size %v: lexicographic vs red-black rel diff %g > 1e-8", size, d)
-		}
-		par2, err := SolveSteadySOR(p, 1.6, optsPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitIdentical(par.T, par2.T) {
-			t.Error("red-black SOR not deterministic at fixed worker count")
-		}
-		opts8 := opts
-		opts8.Workers = 8
-		par8, err := SolveSteadySOR(p, 1.6, opts8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitIdentical(par.T, par8.T) {
-			t.Error("red-black SOR differs across worker counts")
-		}
-	}
-}
-
-// TestEquivalenceTransient: a multi-step backward-Euler integration
-// matches the serial path within 1e-12 relative and is bitwise
-// deterministic across worker counts.
+// TestEquivalenceTransient: a multi-step backward-Euler integration is
+// bitwise reproducible and bitwise identical across worker counts.
 func TestEquivalenceTransient(t *testing.T) {
 	rng := &eqRNG{s: 0x7145}
 	p := randomProblem(t, rng, 12, 10, 12) // 1440 cells, 2 reduction chunks
@@ -250,23 +204,21 @@ func TestEquivalenceTransient(t *testing.T) {
 		}
 		return append([]float64(nil), out...)
 	}
-	ser := run(1)
-	par := run(4)
-	if d := relDiff(ser, par); d > 1e-12 {
-		t.Errorf("transient serial vs parallel rel diff %g > 1e-12", d)
+	ref := run(1)
+	if !bitIdentical(ref, run(1)) {
+		t.Error("transient run not reproducible")
 	}
-	if !bitIdentical(par, run(4)) {
-		t.Error("transient parallel run not reproducible")
-	}
-	if !bitIdentical(par, run(2)) {
-		t.Error("transient field differs across worker counts")
+	for _, w := range []int{2, 4} {
+		if got := run(w); !bitIdentical(ref, got) {
+			t.Errorf("transient workers=%d differs bitwise from workers=1 (rel %g)", w, relDiff(ref, got))
+		}
 	}
 }
 
 // TestEquivalenceNonlinear: the Picard iteration over
-// temperature-dependent conductivity stays equivalent — each inner
-// solve agrees to ~1e-12, and the outer loop does not amplify the
-// difference beyond 1e-9 on the converged field.
+// temperature-dependent conductivity is bitwise identical across
+// worker counts — every inner solve is, so the outer loop has no
+// difference to amplify.
 func TestEquivalenceNonlinear(t *testing.T) {
 	rng := &eqRNG{s: 0x40212E42}
 	p := randomProblem(t, rng, 12, 12, 10) // 1440 cells
@@ -284,33 +236,73 @@ func TestEquivalenceNonlinear(t *testing.T) {
 		}
 		return r.T
 	}
-	ser := run(1)
-	par := run(4)
-	if d := relDiff(ser, par); d > 1e-9 {
-		t.Errorf("nonlinear serial vs parallel rel diff %g > 1e-9", d)
+	ref := run(1)
+	for _, w := range []int{2, 4} {
+		if got := run(w); !bitIdentical(ref, got) {
+			t.Errorf("nonlinear workers=%d differs bitwise from workers=1 (rel %g)", w, relDiff(ref, got))
+		}
 	}
-	if !bitIdentical(par, run(2)) {
-		t.Error("nonlinear field differs across worker counts")
+}
+
+// TestEquivalenceEntryPoints: the batch, family-cached and trace
+// entry points are bitwise identical at Workers 1 and 4 — the worker
+// count is a throughput knob only, whichever path a solve takes.
+func TestEquivalenceEntryPoints(t *testing.T) {
+	rng := &eqRNG{s: 0x0E4A11}
+	p := randomProblem(t, rng, 20, 16, 10) // 3200 cells, 4 reduction chunks
+	qs := batchSources(p, 3)
+	t0 := make([]float64, p.Grid.NumCells())
+	for c := range t0 {
+		t0[c] = 300
+	}
+	segs := []TraceSegment{{Dt: 1e-4, Steps: 2, Q: qs[0]}, {Dt: 5e-5, Steps: 2, Q: qs[1]}}
+	type outcome struct{ batch, family, trace [][]float64 }
+	run := func(w int) outcome {
+		var o outcome
+		opts := Options{Tol: 1e-11, MaxIter: 100000, Precond: Multigrid, Workers: w}
+		batch, err := SolveSteadyBatch(p, qs, opts)
+		if err != nil {
+			t.Fatalf("workers %d batch: %v", w, err)
+		}
+		for _, r := range batch {
+			o.batch = append(o.batch, r.T)
+		}
+		eng := NewEngine(w)
+		defer eng.Close()
+		for _, prec := range []Precision{F64, F32} {
+			for _, q := range qs {
+				r, err := SolveSteady(withQ(p, q), famOpts(eng, "fam-"+prec.String(), prec))
+				if err != nil {
+					t.Fatalf("workers %d family %v: %v", w, prec, err)
+				}
+				o.family = append(o.family, r.T)
+			}
+			tr, err := SolveTrace(p, t0, segs, Options{Tol: 1e-10, MaxIter: 100000, Precond: ZLine, Precision: prec, Workers: w}, TraceOptions{})
+			if err != nil {
+				t.Fatalf("workers %d trace %v: %v", w, prec, err)
+			}
+			o.trace = append(o.trace, tr.T)
+		}
+		return o
+	}
+	ref, got := run(1), run(4)
+	for name, pair := range map[string][2][][]float64{
+		"batch": {ref.batch, got.batch}, "family": {ref.family, got.family}, "trace": {ref.trace, got.trace},
+	} {
+		for i := range pair[0] {
+			if !bitIdentical(pair[0][i], pair[1][i]) {
+				t.Errorf("%s item %d: workers=4 differs bitwise from workers=1 (rel %g)", name, i, relDiff(pair[0][i], pair[1][i]))
+			}
+		}
 	}
 }
 
 // refReduce replicates the deterministic reduction the kernels
-// promise: a single index-order accumulator at workers=1, and
-// chunk-ordered partial sums at workers ≥ 2.
-func refReduce(n, workers int, f func(c int) float64) float64 {
-	if workers <= 1 {
-		sum := 0.0
-		for c := 0; c < n; c++ {
-			sum += f(c)
-		}
-		return sum
-	}
+// promise at every worker count: chunk-ordered partial sums.
+func refReduce(n int, f func(c int) float64) float64 {
 	total := 0.0
 	for s := 0; s < n; s += parallel.Grain {
-		e := s + parallel.Grain
-		if e > n {
-			e = n
-		}
+		e := min(s+parallel.Grain, n)
 		part := 0.0
 		for c := s; c < e; c++ {
 			part += f(c)
@@ -325,8 +317,8 @@ func refReduce(n, workers int, f func(c int) float64) float64 {
 // residual vs apply+subtract+norm, updateNorm vs update+norm, and
 // applyDirDot vs a materialized direction update followed by
 // apply+dot. This is the direct statement of the fusion contract —
-// fusing passes must not change a single bit — checked at the exact
-// serial path and at two chunked worker counts.
+// fusing passes must not change a single bit — checked at the inline
+// single-worker path and at two dispatched worker counts.
 func TestEquivalenceFusedKernels(t *testing.T) {
 	rng := &eqRNG{s: 0xF05ED}
 	p := randomProblem(t, rng, 15, 11, 13) // 2145 cells, 3 reduction chunks
@@ -349,7 +341,7 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 		if !bitIdentical(ap, apRef) {
 			t.Errorf("workers=%d: applyDot SpMV output differs from apply", w)
 		}
-		want := refReduce(n, w, func(c int) float64 { return pv[c] * apRef[c] })
+		want := refReduce(n, func(c int) float64 { return pv[c] * apRef[c] })
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("workers=%d: applyDot sum %x differs from unfused reference %x", w, math.Float64bits(got), math.Float64bits(want))
 		}
@@ -365,7 +357,7 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 		if !bitIdentical(r, rRef) {
 			t.Errorf("workers=%d: fused residual field differs from unfused", w)
 		}
-		wantN := math.Sqrt(refReduce(n, w, func(c int) float64 { return rRef[c] * rRef[c] }))
+		wantN := math.Sqrt(refReduce(n, func(c int) float64 { return rRef[c] * rRef[c] }))
 		if math.Float64bits(rn) != math.Float64bits(wantN) {
 			t.Errorf("workers=%d: fused residual norm differs from unfused reference", w)
 		}
@@ -383,7 +375,7 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 		if !bitIdentical(x1, x2) || !bitIdentical(r1, r2) {
 			t.Errorf("workers=%d: fused update vectors differ from unfused", w)
 		}
-		wantN = math.Sqrt(refReduce(n, w, func(c int) float64 { return r2[c] * r2[c] }))
+		wantN = math.Sqrt(refReduce(n, func(c int) float64 { return r2[c] * r2[c] }))
 		if math.Float64bits(gotN) != math.Float64bits(wantN) {
 			t.Errorf("workers=%d: fused update norm differs from unfused reference", w)
 		}
@@ -408,7 +400,7 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 		if !bitIdentical(apd, apdRef) {
 			t.Errorf("workers=%d: applyDirDot SpMV differs from apply on materialized direction", w)
 		}
-		wantD := refReduce(n, w, func(c int) float64 { return pnRef[c] * apdRef[c] })
+		wantD := refReduce(n, func(c int) float64 { return pnRef[c] * apdRef[c] })
 		if math.Float64bits(gotD) != math.Float64bits(wantD) {
 			t.Errorf("workers=%d: applyDirDot sum differs from unfused reference", w)
 		}
@@ -435,43 +427,6 @@ func TestStencilMatchesSliceApply(t *testing.T) {
 		if !bitIdentical(yLegacy, ySt) {
 			t.Errorf("size %v: stencil SpMV differs bitwise from slice SpMV", size)
 		}
-	}
-}
-
-// TestSORShortMaxIterConverges: regression for the residual-check
-// cadence — with MaxIter below the 20-sweep cadence the final
-// iteration must still check convergence, so an easy problem solved
-// with MaxIter=5 succeeds instead of erroring out unchecked.
-func TestSORShortMaxIterConverges(t *testing.T) {
-	g, err := mesh.Uniform(1e-4, 1e-4, 1e-4, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProblem(g)
-	p.Bounds[ZMin] = DirichletBC(300)
-	for _, workers := range []int{1, 4} {
-		r, err := SolveSteadySOR(p, 1.0, Options{MaxIter: 5, Tol: 1e-10, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: MaxIter=5 solve failed despite converging in one sweep: %v", workers, err)
-		}
-		// Iterations reports the sweep count at the check that
-		// observed convergence — here the final-iteration check, an
-		// upper bound within the documented cadence.
-		if r.Iterations != 5 {
-			t.Errorf("workers=%d: Iterations = %d, want 5 (final-iteration check)", workers, r.Iterations)
-		}
-		if math.Abs(r.T[0]-300) > 1e-9 {
-			t.Errorf("workers=%d: T = %g, want 300", workers, r.T[0])
-		}
-	}
-	// A genuinely unconverged short run must still error.
-	hard := uniformProblem(t, 6, 6, 6, 1)
-	hard.Bounds[ZMin] = DirichletBC(300)
-	for c := range hard.Q {
-		hard.Q[c] = 1e9
-	}
-	if _, err := SolveSteadySOR(hard, 1.0, Options{MaxIter: 3, Tol: 1e-12}); err == nil {
-		t.Error("3-sweep SOR on a 216-cell problem claimed convergence")
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 // kern bundles the worker pool and reduction scratch behind one
 // solve's parallel kernels. Every kernel keeps the determinism
 // contract of internal/parallel: fixed chunk boundaries, partial sums
-// combined in chunk order — so a solve is bit-reproducible at a fixed
-// worker count and identical across any worker count ≥ 2. With one
-// worker every kernel falls through to the exact single-threaded
-// legacy loop (no goroutines, no closures on the hot path).
+// combined in chunk order — so a solve is bit-reproducible and
+// identical at every worker count, 1 included (one worker runs the
+// same chunks inline).
 //
 // The hot-path kernels are fused: each one makes a single sweep over
 // the vectors where the pre-fusion solver made two or three (SpMV
@@ -20,8 +19,10 @@ import (
 // arithmetic — each fused loop evaluates the same per-element
 // expressions in the same order and accumulates the same chunk
 // partials as the separate passes did, so fused results are bitwise
-// identical to the unfused legacy path (pinned by the equivalence
-// suite).
+// identical to the unfused sequence (pinned by the equivalence
+// suite). The streaming per-chunk loops (dotRange, subNormRange,
+// updateNormRange) take resliced chunk ranges, so the compiler drops
+// their bounds checks.
 type kern struct {
 	pool     *parallel.Pool
 	owned    bool      // close() releases the pool only if we created it
@@ -35,7 +36,7 @@ type kern struct {
 // resolved (withDefaults), so opts.Workers reflects the pool size
 // either way.
 func newKern(opts Options, n int) *kern {
-	k := &kern{}
+	k := &kern{partials: make([]float64, parallel.NumChunks(n))}
 	if opts.Engine != nil {
 		k.pool = opts.Engine.pool
 	} else {
@@ -47,9 +48,6 @@ func newKern(opts Options, n int) *kern {
 		// only — results are bitwise identical to a dynamic pool.
 		k.pool = parallel.NewAffinePool(opts.Workers)
 		k.owned = true
-	}
-	if !k.pool.Serial() {
-		k.partials = make([]float64, parallel.NumChunks(n))
 	}
 	return k
 }
@@ -64,36 +62,27 @@ func (k *kern) close() {
 
 func (k *kern) workers() int { return k.pool.Workers() }
 
+// reduce is the pool's chunk-ordered ReduceSum over n cells with the
+// kern's partial-sum scratch.
+func (k *kern) reduce(n int, body func(s, e int) float64) float64 {
+	return k.pool.ReduceSum(n, k.partials, body)
+}
+
 // apply computes y = A·x, chunked across the pool. Each chunk writes
 // a disjoint range of y and only reads x, so the result is bitwise
-// identical to the serial loop at any worker count.
+// identical at any worker count.
 func (k *kern) apply(op *operator, x, y []float64) {
-	if k.pool.Serial() {
-		op.applyRange(x, y, 0, len(x))
-		return
-	}
 	k.pool.For(len(x), func(s, e int) { op.applyRange(x, y, s, e) })
 }
 
 // applyDot fuses the SpMV with the PCG curvature reduction: one sweep
 // computes ap = A·p and returns pᵀ·ap. The per-chunk partial is
-// Σ p[c]·ap[c] in index order — the same partials the separate
-// kern.dot produced — and the serial path is one full-range pass in
-// the legacy accumulation order.
+// Σ p[c]·ap[c] in index order — the same partials kern.dot produces.
 func (k *kern) applyDot(op *operator, p, ap []float64) float64 {
-	n := len(p)
-	body := func(s, e int) float64 {
+	return k.reduce(len(p), func(s, e int) float64 {
 		op.applyRange(p, ap, s, e)
-		sum := 0.0
-		for c := s; c < e; c++ {
-			sum += p[c] * ap[c]
-		}
-		return sum
-	}
-	if k.pool.Serial() {
-		return body(0, n)
-	}
-	return k.pool.ReduceSum(n, k.partials, body)
+		return dotRange(p[s:e], ap[s:e])
+	})
 }
 
 // applyDirDot folds the direction update into the next SpMV: one
@@ -105,76 +94,58 @@ func (k *kern) applyDot(op *operator, p, ap []float64) float64 {
 // read. Requires the stencil (callers go through pcg, which builds
 // it).
 func (k *kern) applyDirDot(op *operator, z, p, pn, ap []float64, beta float64) float64 {
-	n := len(p)
+	return k.reduce(len(p), func(s, e int) float64 {
+		return op.dirDotRange(z, p, pn, ap, beta, s, e)
+	})
+}
+
+// dirDotRange is applyDirDot's per-chunk body over cells [s, e).
+func (op *operator) dirDotRange(z, p, pn, ap []float64, beta float64, s, e int) float64 {
 	st := op.st
 	sy, sz := op.sy, op.sz
-	body := func(s, e int) float64 {
-		sum := 0.0
-		for c := s; c < e; c++ {
-			o := stencilStride * c
-			pc := z[c] + beta*p[c]
-			v := st[o] * pc
-			if g := st[o+1]; g != 0 {
-				v -= g * (z[c+1] + beta*p[c+1])
-			}
-			if g := st[o+2]; g != 0 {
-				v -= g * (z[c-1] + beta*p[c-1])
-			}
-			if g := st[o+3]; g != 0 {
-				v -= g * (z[c+sy] + beta*p[c+sy])
-			}
-			if g := st[o+4]; g != 0 {
-				v -= g * (z[c-sy] + beta*p[c-sy])
-			}
-			if g := st[o+5]; g != 0 {
-				v -= g * (z[c+sz] + beta*p[c+sz])
-			}
-			if g := st[o+6]; g != 0 {
-				v -= g * (z[c-sz] + beta*p[c-sz])
-			}
-			pn[c] = pc
-			ap[c] = v
-			sum += pc * v
+	sum := 0.0
+	for c := s; c < e; c++ {
+		o := stencilStride * c
+		pc := z[c] + beta*p[c]
+		v := st[o] * pc
+		if g := st[o+1]; g != 0 {
+			v -= g * (z[c+1] + beta*p[c+1])
 		}
-		return sum
+		if g := st[o+2]; g != 0 {
+			v -= g * (z[c-1] + beta*p[c-1])
+		}
+		if g := st[o+3]; g != 0 {
+			v -= g * (z[c+sy] + beta*p[c+sy])
+		}
+		if g := st[o+4]; g != 0 {
+			v -= g * (z[c-sy] + beta*p[c-sy])
+		}
+		if g := st[o+5]; g != 0 {
+			v -= g * (z[c+sz] + beta*p[c+sz])
+		}
+		if g := st[o+6]; g != 0 {
+			v -= g * (z[c-sz] + beta*p[c-sz])
+		}
+		pn[c] = pc
+		ap[c] = v
+		sum += pc * v
 	}
-	if k.pool.Serial() {
-		return body(0, n)
-	}
-	return k.pool.ReduceSum(n, k.partials, body)
+	return sum
 }
 
 // residual computes r = b − A·x and returns ‖r‖₂ in one fused sweep
 // per chunk (SpMV, subtraction, and the norm partial together).
 func (k *kern) residual(op *operator, x, b, r []float64) float64 {
-	n := len(x)
-	body := func(s, e int) float64 {
+	return math.Sqrt(k.reduce(len(x), func(s, e int) float64 {
 		op.applyRange(x, r, s, e)
-		sum := 0.0
-		for c := s; c < e; c++ {
-			rc := b[c] - r[c]
-			r[c] = rc
-			sum += rc * rc
-		}
-		return sum
-	}
-	if k.pool.Serial() {
-		return math.Sqrt(body(0, n))
-	}
-	return math.Sqrt(k.pool.ReduceSum(n, k.partials, body))
+		return subNormRange(b[s:e], r[s:e])
+	}))
 }
 
 // dot returns aᵀb with the deterministic chunked reduction.
 func (k *kern) dot(a, b []float64) float64 {
-	if k.pool.Serial() {
-		return dot(a, b)
-	}
-	return k.pool.ReduceSum(len(a), k.partials, func(s, e int) float64 {
-		sum := 0.0
-		for i := s; i < e; i++ {
-			sum += a[i] * b[i]
-		}
-		return sum
+	return k.reduce(len(a), func(s, e int) float64 {
+		return dotRange(a[s:e], b[s:e])
 	})
 }
 
@@ -185,19 +156,44 @@ func (k *kern) norm2(a []float64) float64 { return math.Sqrt(k.dot(a, a)) }
 // accumulate the freshly written r values in index order, exactly as
 // a separate norm pass would read them back).
 func (k *kern) updateNorm(x, r, p, ap []float64, alpha float64) float64 {
-	n := len(x)
-	body := func(s, e int) float64 {
-		sum := 0.0
-		for c := s; c < e; c++ {
-			x[c] += alpha * p[c]
-			rc := r[c] - alpha*ap[c]
-			r[c] = rc
-			sum += rc * rc
-		}
-		return sum
+	return math.Sqrt(k.reduce(len(x), func(s, e int) float64 {
+		return updateNormRange(x[s:e], r[s:e], p[s:e], ap[s:e], alpha)
+	}))
+}
+
+// dotRange returns Σ a[i]·b[i] in index order.
+func dotRange(a, b []float64) float64 {
+	b = b[:len(a)]
+	sum := 0.0
+	for i, v := range a {
+		sum += v * b[i]
 	}
-	if k.pool.Serial() {
-		return math.Sqrt(body(0, n))
+	return sum
+}
+
+// subNormRange overwrites r with b − r and returns Σ r[i]² of the new
+// values in index order.
+func subNormRange(b, r []float64) float64 {
+	b = b[:len(r)]
+	sum := 0.0
+	for i := range r {
+		rc := b[i] - r[i]
+		r[i] = rc
+		sum += rc * rc
 	}
-	return math.Sqrt(k.pool.ReduceSum(n, k.partials, body))
+	return sum
+}
+
+// updateNormRange applies x += α·p, r −= α·ap and returns Σ r[i]² of
+// the updated r in index order.
+func updateNormRange(x, r, p, ap []float64, alpha float64) float64 {
+	r, p, ap = r[:len(x)], p[:len(x)], ap[:len(x)]
+	sum := 0.0
+	for i := range x {
+		x[i] += alpha * p[i]
+		rc := r[i] - alpha*ap[i]
+		r[i] = rc
+		sum += rc * rc
+	}
+	return sum
 }

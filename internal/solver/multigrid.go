@@ -405,16 +405,6 @@ func (mg *multigrid[F]) apply(r, z []float64) {
 	}
 	rb, zb := mg.rbuf, mg.zbuf
 	pool := mg.kr.pool
-	if pool.Serial() {
-		for i, v := range r {
-			rb[i] = F(v)
-		}
-		mg.cycle(0, rb, zb)
-		for i, v := range zb {
-			z[i] = float64(v)
-		}
-		return
-	}
 	pool.For(len(r), func(s, e int) {
 		for i := s; i < e; i++ {
 			rb[i] = F(r[i])
@@ -492,12 +482,7 @@ func (mg *multigrid[F]) rbLineSmooth(lvl *mgLevel[F], b, x []F, reverse, fromZer
 // pool. Columns are independent tridiagonal solves writing disjoint
 // cells, so any partition produces bit-identical results.
 func (mg *multigrid[F]) solveColumns(lvl *mgLevel[F], b, x []F, color int, gather bool) {
-	sz := lvl.sz
-	if mg.kr.pool.Serial() {
-		lvl.smoothRange(b, x, color, gather, 0, sz)
-		return
-	}
-	mg.kr.pool.ForGrain(sz, lvl.colGrain, func(_, s, e int) {
+	mg.kr.pool.ForGrain(lvl.sz, lvl.colGrain, func(_, s, e int) {
 		lvl.smoothRange(b, x, color, gather, s, e)
 	})
 }
@@ -778,12 +763,7 @@ func emitRestrict[F mgFloat](fine, coarse *mgLevel[F], b, x, rc []F, J int) {
 // (in cycle) reads only black values, so no prolonged value is ever
 // needed again and the prolongation pass disappears entirely.
 func (mg *multigrid[F]) smoothCorrect(fine, coarse *mgLevel[F], b, x, xc []F) {
-	sz := fine.sz
-	if mg.kr.pool.Serial() {
-		fine.correctRange(b, x, xc, coarse.nx, coarse.ny, 0, sz)
-		return
-	}
-	mg.kr.pool.ForGrain(sz, fine.colGrain, func(_, s, e int) {
+	mg.kr.pool.ForGrain(fine.sz, fine.colGrain, func(_, s, e int) {
 		fine.correctRange(b, x, xc, coarse.nx, coarse.ny, s, e)
 	})
 }
@@ -897,10 +877,6 @@ func (mg *multigrid[F]) restrictResidual(fine, coarse *mgLevel[F], x, b, rc []F)
 			}
 		}
 	}
-	if mg.kr.pool.Serial() {
-		body(0, len(rc))
-		return
-	}
 	mg.kr.pool.For(len(rc), body)
 }
 
@@ -928,10 +904,6 @@ func (mg *multigrid[F]) prolong(fine, coarse *mgLevel[F], xc, x []F) {
 				}
 			}
 		}
-	}
-	if mg.kr.pool.Serial() {
-		body(0, len(x))
-		return
 	}
 	mg.kr.pool.For(len(x), body)
 }

@@ -7,6 +7,15 @@ import (
 )
 
 // mgRandVec fills a deterministic pseudo-random vector in [-1, 1).
+// dot returns aᵀb with one index-order accumulator.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
 func mgRandVec(rng *eqRNG, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -78,8 +87,7 @@ func TestMultigridMatchesZLineAndJacobi(t *testing.T) {
 // several worker counts and demands bitwise identical output. The
 // cycle contains no floating-point reductions — only elementwise
 // kernels, disjoint column solves, and fixed-order per-aggregate sums
-// — so unlike the PCG dot products it is exactly reproducible even
-// between serial and parallel execution.
+// — so it is exactly reproducible at every worker count.
 func TestMultigridCycleBitwiseDeterministic(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	op := assemble(p)

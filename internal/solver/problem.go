@@ -13,8 +13,7 @@
 //
 // The steady solver is a matrix-free preconditioned conjugate
 // gradient (the operator is symmetric positive definite by
-// construction); a Gauss-Seidel/SOR fallback is provided for
-// cross-checking.
+// construction).
 package solver
 
 import (
@@ -270,7 +269,7 @@ type operator struct {
 	// gxp(c), gxp(c−1), gyp(c), gyp(c−sy), gzp(c), gzp(c−sz)] — with
 	// zeros baked in at domain edges so the apply kernels need no
 	// index guards. The slice views (gxp…diag) stay authoritative for
-	// assembly-time consumers (coarsening, SOR, Thomas factors).
+	// assembly-time consumers (coarsening, Thomas factors).
 	st []float64
 	// diagChecked records that every diagonal entry was verified
 	// positive (makePreconditioner's singularity guard) so batched

@@ -80,22 +80,6 @@ func TestNonConvergenceTyped(t *testing.T) {
 	}
 }
 
-// TestSORNonConvergenceTyped: the SOR path carries the same contract.
-func TestSORNonConvergenceTyped(t *testing.T) {
-	p := illConditionedProblem(t)
-	_, err := SolveSteadySOR(p, 1.5, Options{Tol: 1e-14, MaxIter: 40, Workers: 1})
-	ce, ok := AsConvergenceError(err)
-	if !ok {
-		t.Fatalf("error is not a *ConvergenceError: %v", err)
-	}
-	if ce.Reason != ReasonMaxIter || ce.Method != "sor" {
-		t.Fatalf("reason/method = %v/%q, want max-iterations/sor", ce.Reason, ce.Method)
-	}
-	if len(ce.History) == 0 {
-		t.Fatal("empty residual history")
-	}
-}
-
 // TestStagnationDetection: a short stagnation window trips
 // ReasonStagnation well before MaxIter when PCG's non-monotone
 // residual goes that many iterations without a new best. The solve is
@@ -119,27 +103,6 @@ func TestStagnationDetection(t *testing.T) {
 	// beats the final (plateaued) one.
 	if !(ce.BestResidual <= ce.Residual) {
 		t.Fatalf("best residual %g worse than final %g", ce.BestResidual, ce.Residual)
-	}
-}
-
-// TestSORStagnationDetection: SOR's true-residual floor (~1e-16)
-// trips the stagnation guard when asked for an unreachable tolerance,
-// instead of burning the full MaxIter budget.
-func TestSORStagnationDetection(t *testing.T) {
-	rng := &eqRNG{s: 7}
-	p := randomProblem(t, rng, 6, 6, 4)
-	_, err := SolveSteadySOR(p, 1.5, Options{
-		Tol: 1e-30, MaxIter: 100000, Workers: 1, StagnationWindow: 200,
-	})
-	ce, ok := AsConvergenceError(err)
-	if !ok {
-		t.Fatalf("error is not a *ConvergenceError: %v", err)
-	}
-	if ce.Reason != ReasonStagnation {
-		t.Fatalf("reason = %v, want stagnation (err: %v)", ce.Reason, err)
-	}
-	if ce.Iterations >= 100000 {
-		t.Fatalf("stagnation only detected at the MaxIter boundary")
 	}
 }
 

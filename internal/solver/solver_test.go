@@ -236,25 +236,50 @@ func TestCGMatchesSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sor, err := SolveSteadySOR(p, 1.7, Options{Tol: 1e-12, MaxIter: 200000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sor := sorReference(t, p, 1.7)
 	for c := range cg.T {
-		if math.Abs(cg.T[c]-sor.T[c]) > 1e-5 {
-			t.Fatalf("cell %d: CG %g vs SOR %g", c, cg.T[c], sor.T[c])
+		if math.Abs(cg.T[c]-sor[c]) > 1e-5 {
+			t.Fatalf("cell %d: CG %g vs SOR %g", c, cg.T[c], sor[c])
 		}
 	}
 }
 
-func TestSORRejectsBadOmega(t *testing.T) {
-	p := uniformProblem(t, 2, 2, 2, 1)
-	p.Bounds[ZMin] = DirichletBC(300)
-	for _, w := range []float64{0, -1, 2, 2.5} {
-		if _, err := SolveSteadySOR(p, w, Options{}); err == nil {
-			t.Errorf("omega=%g accepted", w)
+// sorReference solves p by lexicographic successive over-relaxation on
+// the assembled operator until a sweep moves no cell by more than
+// 1e-10 K — an independent cross-check for PCG that shares only the
+// assembly. Face conductances past the domain edge are zero, so the
+// neighbor guards only keep the indices in range.
+func sorReference(t *testing.T, p *Problem, omega float64) []float64 {
+	t.Helper()
+	op := assemble(p)
+	n := len(op.b)
+	axes := [3]struct {
+		g      []float64 // conductance to the +stride neighbor
+		stride int
+	}{{op.gxp, 1}, {op.gyp, op.sy}, {op.gzp, op.sz}}
+	x := make([]float64, n)
+	for sweep := 0; sweep < 200000; sweep++ {
+		moved := 0.0
+		for c := range x {
+			sum := op.b[c]
+			for _, ax := range axes {
+				if c+ax.stride < n {
+					sum += ax.g[c] * x[c+ax.stride]
+				}
+				if c >= ax.stride {
+					sum += ax.g[c-ax.stride] * x[c-ax.stride]
+				}
+			}
+			d := omega * (sum/op.diag[c] - x[c])
+			x[c] += d
+			moved = max(moved, math.Abs(d))
+		}
+		if moved < 1e-10 {
+			return x
 		}
 	}
+	t.Fatal("SOR reference did not converge")
+	return nil
 }
 
 func TestValidateRejections(t *testing.T) {

@@ -127,35 +127,30 @@ type Options struct {
 	// F64, the historical bit-for-bit arithmetic). See Precision.
 	Precision Precision
 	// Workers is the number of goroutines running the parallel solver
-	// kernels: chunked SpMV, deterministic PCG reductions, per-column
-	// ZLine preconditioner fan-out, and red-black SOR sweeps. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); values < 1 after
-	// defaulting, and Workers=1 explicitly, run the exact
-	// single-threaded legacy path.
+	// kernels: chunked SpMV, deterministic PCG reductions, and
+	// per-column preconditioner fan-out. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); values < 1 after defaulting run on one
+	// goroutine.
 	//
-	// Determinism: for any fixed Workers value, results are
-	// bit-identical run to run; for Workers ≥ 2 they are additionally
-	// bit-identical across worker counts, because reduction chunk
-	// boundaries depend only on the problem size and partial sums
-	// combine in chunk order (see internal/parallel). The parallel
-	// path differs from Workers=1 only in the floating-point
-	// summation order of dot products (and, for SolveSteadySOR, the
-	// red-black sweep ordering); the equivalence test suite bounds
-	// the resulting temperature difference at ≤ 1e-12 relative.
+	// Workers is a throughput knob only: results are bit-identical
+	// run to run and across every worker count, 1 included, because
+	// reduction chunk boundaries depend only on the problem size and
+	// partial sums combine in ascending chunk order (see
+	// internal/parallel) — one worker runs the same chunks inline.
 	Workers int
 	// Ctx, when non-nil, cancels the solve: the iteration checks
-	// ctx.Done() once per outer iteration (and per SOR sweep) and
-	// returns a *ConvergenceError with ReasonCancelled wrapping
-	// ctx.Err(). The error carries the best iterate reached so far
+	// ctx.Done() once per outer iteration and returns a
+	// *ConvergenceError with ReasonCancelled wrapping ctx.Err(). The
+	// error carries the best iterate reached so far
 	// (ConvergenceError.Best) so deadline-bounded callers can use the
 	// partial field, explicitly flagged as unconverged.
 	Ctx context.Context
 	// Progress, when non-nil, is called after every PCG iteration
-	// (and at every SOR residual check) with the 1-based iteration
-	// count and the current relative residual. It runs on the solve's
-	// calling goroutine and must not mutate solver state; to stop a
-	// solve early, cancel Ctx. Observational only: attaching a
-	// callback does not change any computed value.
+	// with the 1-based iteration count and the current relative
+	// residual. It runs on the solve's calling goroutine and must not
+	// mutate solver state; to stop a solve early, cancel Ctx.
+	// Observational only: attaching a callback does not change any
+	// computed value.
 	Progress func(iteration int, relResidual float64)
 	// StagnationWindow is the divergence guard: if no new best
 	// residual is observed for this many consecutive iterations the
@@ -217,7 +212,7 @@ type Result struct {
 	Iterations int
 	Residual   float64 // final relative residual
 	// Residuals is the per-iteration relative residual trace of the
-	// solve that produced T (SOR records at its check cadence).
+	// solve that produced T.
 	Residuals []float64
 	// Fallbacks lists preconditioners abandoned on breakdown before
 	// the one that produced T (empty on the normal path). Fallbacks
@@ -237,8 +232,8 @@ type gridder interface {
 
 // SolveSteady solves the steady conduction problem with
 // preconditioned conjugate gradient. The solve parallelizes across
-// Options.Workers goroutines with deterministic (bit-reproducible)
-// reductions; Workers=1 is the exact legacy serial path.
+// Options.Workers goroutines with deterministic reductions: the result
+// is bit-identical at every worker count.
 //
 // Robustness: cancellation via Options.Ctx, NaN/Inf and stagnation
 // guards, and the automatic preconditioner fallback ladder
@@ -342,116 +337,6 @@ func solveOperatorWith(op *operator, b []float64, opts Options, method string, k
 	return out, fallbacks, err
 }
 
-// sorCheckEvery is the residual-check cadence of SolveSteadySOR: the
-// residual ‖b−A·T‖/‖b‖ costs one extra operator application, so it is
-// evaluated every sorCheckEvery sweeps AND on the final sweep
-// (whichever comes first — so MaxIter < sorCheckEvery still gets a
-// convergence check, and a converged solve never runs more than
-// sorCheckEvery−1 sweeps past the first satisfying iterate).
-// Result.Iterations is therefore the sweep count at the check that
-// observed convergence, an upper bound on the minimal sweep count
-// that is tight to within sorCheckEvery−1 sweeps.
-const sorCheckEvery = 20
-
-// SolveSteadySOR solves the same system with successive
-// over-relaxation — slower than PCG, used for cross-validation in
-// tests. With Options.Workers ≥ 2 the sweep runs in red-black
-// (two-color) order: cells with even i+j+k parity update first, then
-// odd, so every update within a color reads only opposite-color
-// values fixed at the half-sweep start. The half-sweeps chunk across
-// the worker pool race-free, and the result is independent of
-// chunking entirely (bit-identical at any Workers ≥ 2). The
-// red-black iteration path differs from the serial lexicographic
-// sweep, but both converge to the same fixed point; the equivalence
-// suite pins the two solutions together at the residual tolerance.
-func SolveSteadySOR(p *Problem, omega float64, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, fmt.Errorf("solver: SOR relaxation factor %g outside (0,2)", omega)
-	}
-	opts = opts.withDefaults()
-	op := assemble(p)
-	op.ensureStencil()
-	n := len(op.b)
-	kr := newKern(opts, n)
-	defer kr.close()
-	t := make([]float64, n)
-	if opts.InitialGuess != nil {
-		copy(t, opts.InitialGuess)
-	}
-	bn := norm2(op.b)
-	if bn == 0 {
-		bn = 1
-	}
-	r := make([]float64, n)
-	serial := kr.pool.Serial()
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-	window := opts.StagnationWindow
-	if window == 0 {
-		window = defaultStagnationWindow
-	}
-	tel := opts.Telemetry
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
-	var history []float64
-	// Seed res with the initial true residual so a failure before the
-	// first residual check still reports a meaningful value.
-	res := kr.residual(op, t, op.b, r) / bn
-	bestRes, bestIter := math.Inf(1), 0
-	fail := func(reason FailureReason, it int, cause error) (*Result, error) {
-		err := &ConvergenceError{
-			Method: "sor", Precond: opts.Precond, Reason: reason,
-			Iterations: it, Residual: res, History: history,
-			Best: t, BestResidual: res, Err: cause,
-		}
-		recordTrace(tel, "sor", opts, n, nil, err, start, nil)
-		return nil, err
-	}
-	for it := 1; it <= opts.MaxIter; it++ {
-		if done != nil {
-			select {
-			case <-done:
-				return fail(ReasonCancelled, it-1, opts.Ctx.Err())
-			default:
-			}
-		}
-		if serial {
-			op.sorSweepRange(t, omega, 0, n, -1)
-		} else {
-			op.redBlackSweep(t, omega, kr)
-		}
-		if it%sorCheckEvery == 0 || it == opts.MaxIter {
-			res = kr.residual(op, t, op.b, r) / bn
-			history = append(history, res)
-			if opts.Progress != nil {
-				opts.Progress(it, res)
-			}
-			if math.IsNaN(res) || math.IsInf(res, 0) {
-				return fail(ReasonBreakdown, it, errors.New("non-finite residual"))
-			}
-			if res <= opts.Tol {
-				result := &Result{T: t, Iterations: it, Residual: res, Residuals: history, grid: p.Grid}
-				recordTrace(tel, "sor", opts, n, &iterOutcome{x: t, iterations: it, residual: res, history: history}, nil, start, nil)
-				return result, nil
-			}
-			if res < bestRes {
-				bestRes, bestIter = res, it
-			} else if window > 0 && it-bestIter >= window {
-				return fail(ReasonStagnation, it,
-					fmt.Errorf("no residual improvement in %d sweeps (best %g at sweep %d)", it-bestIter, bestRes, bestIter))
-			}
-		}
-	}
-	return fail(ReasonMaxIter, opts.MaxIter, nil)
-}
-
 // recordTrace writes one telemetry solve trace plus counters for a
 // finished solve attempt (tel may be nil).
 func recordTrace(tel *telemetry.Collector, method string, opts Options, cells int, out *iterOutcome, err error, start time.Time, fallbacks []Preconditioner) {
@@ -488,71 +373,6 @@ func recordTrace(tel *telemetry.Collector, method string, opts Options, cells in
 	tel.RecordSolve(trace)
 }
 
-// sorSweepRange applies one SOR update pass to cells [start, end).
-// color selects the parity of i+j+k to update (0 or 1); −1 updates
-// every cell in lexicographic order (the serial legacy sweep).
-func (op *operator) sorSweepRange(t []float64, omega float64, start, end, color int) {
-	sy, sz := op.sy, op.sz
-	// Decompose the starting index once, then carry (i, j, k) along
-	// the contiguous range instead of dividing per cell.
-	i := start % sy
-	j := (start % sz) / sy
-	k := start / sz
-	for c := start; c < end; c++ {
-		if color < 0 || (i+j+k)&1 == color {
-			sum := op.b[c]
-			if g := op.gxp[c]; g != 0 {
-				sum += g * t[c+1]
-			}
-			if c >= 1 {
-				if g := op.gxp[c-1]; g != 0 {
-					sum += g * t[c-1]
-				}
-			}
-			if g := op.gyp[c]; g != 0 {
-				sum += g * t[c+sy]
-			}
-			if c >= sy {
-				if g := op.gyp[c-sy]; g != 0 {
-					sum += g * t[c-sy]
-				}
-			}
-			if g := op.gzp[c]; g != 0 {
-				sum += g * t[c+sz]
-			}
-			if c >= sz {
-				if g := op.gzp[c-sz]; g != 0 {
-					sum += g * t[c-sz]
-				}
-			}
-			tNew := sum / op.diag[c]
-			t[c] += omega * (tNew - t[c])
-		}
-		i++
-		if i == sy {
-			i = 0
-			j++
-			if j == op.ny {
-				j = 0
-				k++
-			}
-		}
-	}
-}
-
-// redBlackSweep performs one SOR sweep as two parallel half-sweeps.
-// All six neighbors of a cell sit at ±1 along one axis, so they all
-// have the opposite i+j+k parity: within one color, updates touch no
-// shared state and chunk freely across the pool.
-func (op *operator) redBlackSweep(t []float64, omega float64, kr *kern) {
-	n := len(t)
-	for color := 0; color <= 1; color++ {
-		kr.pool.For(n, func(s, e int) {
-			op.sorSweepRange(t, omega, s, e, color)
-		})
-	}
-}
-
 // defaultStagnationWindow is the stagnation guard used when
 // Options.StagnationWindow is 0: abort after this many consecutive
 // iterations without a new best residual.
@@ -573,8 +393,8 @@ type iterOutcome struct {
 // contract). Per iteration the loop makes three fused sweeps instead
 // of the historical seven passes: apply+direction+dot in one,
 // update+norm in one, precondition(+dot for Jacobi) in one; every
-// fusion preserves the exact legacy arithmetic order, so results are
-// bitwise identical to the unfused loop.
+// fusion preserves the arithmetic order of the separate passes, so
+// results are bitwise identical to the unfused loop.
 //
 // Failures return a *ConvergenceError: ReasonCancelled when
 // opts.Ctx fires (checked once per iteration), ReasonBreakdown on
@@ -641,13 +461,7 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 			Method: "pcg", Precond: opts.Precond, Reason: ReasonBreakdown, Err: err,
 		}
 	}
-	var rz float64
-	if pc.applyDot != nil {
-		rz = pc.applyDot(r, z)
-	} else {
-		pc.apply(r, z)
-		rz = kr.dot(r, z)
-	}
+	rz := pc(r, z)
 	// Iteration 1 takes p = z directly (a β=0 fused direction could
 	// flip signed zeros: z + 0·p is not always bit-equal to z).
 	copy(p, z)
@@ -702,29 +516,19 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 			return fail(ReasonStagnation, it,
 				fmt.Errorf("no residual improvement in %d iterations (best %g at iteration %d)", it-bestIter, bestRes, bestIter))
 		}
-		var rzNew float64
-		if pc.applyDot != nil {
-			rzNew = pc.applyDot(r, z)
-		} else {
-			pc.apply(r, z)
-			rzNew = kr.dot(r, z)
-		}
+		rzNew := pc(r, z)
 		beta = rzNew / rz
 		rz = rzNew
 	}
 	return fail(ReasonMaxIter, opts.MaxIter, nil)
 }
 
-// precondOp is one built preconditioner. apply is z ← M⁻¹·r;
-// applyDot, when non-nil, additionally returns rᵀz from the same
-// sweep. The fusion is offered only where it preserves the flat
-// index-order summation of the separate dot pass (Jacobi); the
-// column-ordered ZLine/Multigrid solvers keep the separate reduction
-// so the determinism contract's summation order never changes.
-type precondOp struct {
-	apply    func(r, z []float64)
-	applyDot func(r, z []float64) float64
-}
+// precondOp is one built preconditioner: it applies z ← M⁻¹·r and
+// returns rᵀz. Jacobi fuses the reduction into its sweep (its chunk
+// partials are the flat index-order ones of kern.dot); the
+// column-ordered ZLine/Multigrid solvers run kern.dot as a separate
+// pass.
+type precondOp func(r, z []float64) float64
 
 // precondKey identifies one built preconditioner: the scheme plus its
 // arithmetic tier (the f32 and f64 builds of the same scheme hold
@@ -749,7 +553,7 @@ func (pcs precondCache) get(op *operator, kind Preconditioner, prec Precision, k
 	}
 	pc, err := makePreconditioner(op, kind, prec, kr)
 	if err != nil {
-		return precondOp{}, err
+		return nil, err
 	}
 	pcs[key] = pc
 	return pc, nil
@@ -762,161 +566,99 @@ func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *k
 	if !op.diagChecked {
 		for c := 0; c < n; c++ {
 			if op.diag[c] <= 0 {
-				return precondOp{}, errors.New("solver: non-positive diagonal — singular system")
+				return nil, errors.New("solver: non-positive diagonal — singular system")
 			}
 		}
 		op.diagChecked = true
 	}
-	switch prec {
-	case F64:
-	case F32:
-		// The f32 tier reuses the generic multigrid machinery for the
-		// line-based schemes: ZLine is exactly a single-level hierarchy
-		// (the coarsest-level lineSolve is the same exact per-column
-		// Thomas solve against the full diagonal), and Multigrid is the
-		// full hierarchy in float32. Jacobi stores its reciprocal
-		// diagonal in float32 and multiplies in float32; like the f64
-		// tier, the fused rᵀz reduction stays float64 in chunk order.
-		switch kind {
-		case Jacobi:
-			invDiag := make([]float32, n)
-			for c := range invDiag {
-				invDiag[c] = float32(1 / op.diag[c])
-			}
-			if kr.pool.Serial() {
-				return precondOp{
-					apply: func(r, z []float64) {
-						for c := range z {
-							z[c] = float64(float32(r[c]) * invDiag[c])
-						}
-					},
-					applyDot: func(r, z []float64) float64 {
-						sum := 0.0
-						for c := range z {
-							zc := float64(float32(r[c]) * invDiag[c])
-							z[c] = zc
-							sum += r[c] * zc
-						}
-						return sum
-					},
-				}, nil
-			}
-			return precondOp{
-				apply: func(r, z []float64) {
-					kr.pool.For(n, func(s, e int) {
-						for c := s; c < e; c++ {
-							z[c] = float64(float32(r[c]) * invDiag[c])
-						}
-					})
-				},
-				applyDot: func(r, z []float64) float64 {
-					return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
-						sum := 0.0
-						for c := s; c < e; c++ {
-							zc := float64(float32(r[c]) * invDiag[c])
-							z[c] = zc
-							sum += r[c] * zc
-						}
-						return sum
-					})
-				},
-			}, nil
-		case ZLine:
-			return precondOp{apply: newZLineTier[float32](op, kr).apply}, nil
-		case Multigrid:
-			return precondOp{apply: newMultigridTier[float32](op, kr).apply}, nil
-		default:
-			return precondOp{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
-		}
-	default:
-		return precondOp{}, fmt.Errorf("solver: unknown precision %d", prec)
+	if prec != F64 && prec != F32 {
+		return nil, fmt.Errorf("solver: unknown precision %d", prec)
 	}
+	// The f32 tier reuses the generic multigrid machinery for the
+	// line-based schemes: ZLine is exactly a single-level hierarchy (the
+	// coarsest-level lineSolve is the same exact per-column Thomas solve
+	// against the full diagonal), and Multigrid is the full hierarchy in
+	// float32.
+	var apply func(r, z []float64)
 	switch kind {
 	case Jacobi:
-		invDiag := make([]float64, n)
-		for c := range invDiag {
-			invDiag[c] = 1 / op.diag[c]
+		if prec == F32 {
+			return newJacobi[float32](op, kr), nil
 		}
-		if kr.pool.Serial() {
-			return precondOp{
-				apply: func(r, z []float64) {
-					for c := range z {
-						z[c] = r[c] * invDiag[c]
-					}
-				},
-				applyDot: func(r, z []float64) float64 {
-					sum := 0.0
-					for c := range z {
-						zc := r[c] * invDiag[c]
-						z[c] = zc
-						sum += r[c] * zc
-					}
-					return sum
-				},
-			}, nil
-		}
-		return precondOp{
-			apply: func(r, z []float64) {
-				kr.pool.For(n, func(s, e int) {
-					for c := s; c < e; c++ {
-						z[c] = r[c] * invDiag[c]
-					}
-				})
-			},
-			applyDot: func(r, z []float64) float64 {
-				return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
-					sum := 0.0
-					for c := s; c < e; c++ {
-						zc := r[c] * invDiag[c]
-						z[c] = zc
-						sum += r[c] * zc
-					}
-					return sum
-				})
-			},
-		}, nil
+		return newJacobi[float64](op, kr), nil
 	case ZLine:
-		nz := op.nz
-		sz := op.sz
-		if kr.pool.Serial() {
-			// Thomas scratch reused across calls.
-			cp := make([]float64, nz)
-			dp := make([]float64, nz)
-			return precondOp{apply: func(r, z []float64) {
-				for col := 0; col < sz; col++ {
-					op.thomasColumn(r, z, col, cp, dp)
-				}
-			}}, nil
+		if prec == F32 {
+			apply = newZLineTier[float32](op, kr).apply
+		} else {
+			apply = newZLine(op, kr)
 		}
-		// Per-column fan-out: columns are independent tridiagonal
-		// solves writing disjoint z entries, so the output is bitwise
-		// identical to the serial loop at any worker count. Each
-		// worker gets its own Thomas scratch; chunks are sized to
-		// ~Grain cells so scheduling overhead stays amortized on
-		// shallow stacks.
-		w := kr.workers()
-		cps := make([][]float64, w)
-		dps := make([][]float64, w)
-		for i := range cps {
-			cps[i] = make([]float64, nz)
-			dps[i] = make([]float64, nz)
-		}
-		colGrain := parallel.Grain / nz
-		if colGrain < 1 {
-			colGrain = 1
-		}
-		return precondOp{apply: func(r, z []float64) {
-			kr.pool.ForGrain(sz, colGrain, func(worker, s, e int) {
-				cp, dp := cps[worker], dps[worker]
-				for col := s; col < e; col++ {
-					op.thomasColumn(r, z, col, cp, dp)
-				}
-			})
-		}}, nil
 	case Multigrid:
-		return precondOp{apply: newMultigrid(op, kr).apply}, nil
+		if prec == F32 {
+			apply = newMultigridTier[float32](op, kr).apply
+		} else {
+			apply = newMultigrid(op, kr).apply
+		}
 	default:
-		return precondOp{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
+		return nil, fmt.Errorf("solver: unknown preconditioner %d", kind)
+	}
+	return func(r, z []float64) float64 {
+		apply(r, z)
+		return kr.dot(r, z)
+	}, nil
+}
+
+// newJacobi builds the diagonal preconditioner in tier F: the
+// reciprocal diagonal is stored in F and the product r·D⁻¹ rounded to
+// F (for F = float64 exactly r[c]·(1/diag[c])). The fused rᵀz
+// reduction stays float64 in chunk order.
+func newJacobi[F mgFloat](op *operator, kr *kern) precondOp {
+	invDiag := make([]F, len(op.diag))
+	for c := range invDiag {
+		invDiag[c] = F(1 / op.diag[c])
+	}
+	return func(r, z []float64) float64 {
+		return kr.reduce(len(z), func(s, e int) float64 {
+			return jacobiDotRange(r[s:e], z[s:e], invDiag[s:e])
+		})
+	}
+}
+
+// jacobiDotRange writes z = r·invDiag (rounded to F) and returns
+// Σ r[i]·z[i] in index order.
+func jacobiDotRange[F mgFloat](r, z []float64, invDiag []F) float64 {
+	r, invDiag = r[:len(z)], invDiag[:len(z)]
+	sum := 0.0
+	for i := range z {
+		zc := float64(F(r[i]) * invDiag[i])
+		z[i] = zc
+		sum += r[i] * zc
+	}
+	return sum
+}
+
+// newZLine builds the float64 z-line preconditioner: per-column
+// fan-out of exact tridiagonal solves. Columns are independent and
+// write disjoint z entries, so the output is bitwise identical at any
+// worker count. Each worker gets its own Thomas scratch; chunks are
+// sized to ~Grain cells so scheduling overhead stays amortized on
+// shallow stacks.
+func newZLine(op *operator, kr *kern) func(r, z []float64) {
+	nz := op.nz
+	w := kr.workers()
+	cps := make([][]float64, w)
+	dps := make([][]float64, w)
+	for i := range cps {
+		cps[i] = make([]float64, nz)
+		dps[i] = make([]float64, nz)
+	}
+	colGrain := max(parallel.Grain/nz, 1)
+	return func(r, z []float64) {
+		kr.pool.ForGrain(op.sz, colGrain, func(worker, s, e int) {
+			cp, dp := cps[worker], dps[worker]
+			for col := s; col < e; col++ {
+				op.thomasColumn(r, z, col, cp, dp)
+			}
+		})
 	}
 }
 
@@ -944,18 +686,6 @@ func (op *operator) thomasColumn(r, z []float64, col int, cp, dp []float64) {
 	for k := nz - 2; k >= 0; k-- {
 		z[col+k*sz] = dp[k] - cp[k]*z[col+(k+1)*sz]
 	}
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func norm2(a []float64) float64 {
-	return math.Sqrt(dot(a, a))
 }
 
 // Max returns the maximum temperature in the field.
