@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke ci
+.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke bench-check ci
 
 all: build test
 
@@ -122,7 +122,16 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/
 	$(GO) test -run xxx -bench 'ClusterMixed/nodes=2' -benchtime=1x ./internal/cluster/
 
+# bench-check vets and tests the perfbench harness. It is its own
+# module (it imports this one through a replace directive), so
+# `./...` above never builds it, and a library change — a renamed
+# function, a deleted global — could otherwise break the benchmark
+# unseen.
+bench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # ci is the gate: vet + race-clean full suite + doubled equivalence
 # (which also pins determinism with telemetry attached) + the service
-# stress suite + fuzz bursts + the ratcheted coverage floor.
-ci: race equivalence serve-stress fuzz-short cover
+# stress suite + fuzz bursts + the ratcheted coverage floor + the
+# perfbench build check.
+ci: race equivalence serve-stress fuzz-short cover bench-check

@@ -21,19 +21,6 @@ func runCLI(t *testing.T, ctx context.Context, args ...string) (int, string, str
 	return code, stdout.String(), stderr.String()
 }
 
-func TestUnknownPrecondRejected(t *testing.T) {
-	code, _, stderr := runCLI(t, context.Background(), "-precond", "ilu0")
-	if code == 0 {
-		t.Fatal("unknown -precond accepted")
-	}
-	if !strings.Contains(stderr, "unknown preconditioner") {
-		t.Fatalf("stderr does not explain the rejection: %q", stderr)
-	}
-	if !strings.Contains(stderr, "Usage") && !strings.Contains(stderr, "-fig") {
-		t.Fatalf("stderr does not include usage: %q", stderr)
-	}
-}
-
 func TestUnknownFlagRejected(t *testing.T) {
 	code, _, stderr := runCLI(t, context.Background(), "-no-such-flag")
 	if code == 0 {

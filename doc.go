@@ -14,14 +14,14 @@
 // results are bit-identical run-to-run and across every worker count.
 // See DESIGN.md §6.
 //
-// PCG offers three preconditioners (solver.Options.Precond): Jacobi,
-// z-line (per-column Thomas, the default for chip stacks), and
-// geometric multigrid (x/y semi-coarsening with red-black z-line
-// Gauss-Seidel smoothing), whose iteration count stays nearly flat
-// under grid refinement — the default for the repeated solves of the
-// pillar placement loop and 3.5–4× faster end-to-end on large grids.
-// The cmd/thermsim and cmd/paperfigs binaries expose the choice as
-// -precond jacobi|zline|multigrid. See DESIGN.md §7.
+// PCG offers three preconditioners (solver.Options.Precond): geometric
+// multigrid (x/y semi-coarsening with red-black z-line Gauss-Seidel
+// smoothing), whose iteration count stays nearly flat under grid
+// refinement; z-line (per-column Thomas); and Jacobi. Multigrid is the
+// zero value, so every entry point that leaves Precond unset — stack,
+// beol, sched, the experiments and the evaluation service — runs it.
+// cmd/thermsim keeps -precond multigrid|zline|jacobi for comparison
+// runs. See DESIGN.md §7.
 //
 // See README.md for the architecture overview, DESIGN.md for the
 // system inventory and per-experiment index, and EXPERIMENTS.md for

@@ -21,6 +21,7 @@ import (
 	"thermalscaffold/internal/mesh"
 	"thermalscaffold/internal/pdk"
 	"thermalscaffold/internal/solver"
+	"thermalscaffold/internal/telemetry"
 )
 
 // Direction of routing stripes in a metal layer.
@@ -220,7 +221,11 @@ func (s SliceSpec) buildProblem() (*solver.Problem, float64, error) {
 
 // Homogenize runs the three numerical experiments and returns the
 // effective conductivities of the slice.
-func (s SliceSpec) Homogenize() (Effective, error) {
+func (s SliceSpec) Homogenize() (Effective, error) { return s.homogenize(nil) }
+
+// homogenize is Homogenize with tel (nil = none) attached to its three
+// solves, so tests can read which preconditioner ran.
+func (s SliceSpec) homogenize(tel *telemetry.Collector) (Effective, error) {
 	p, frac, err := s.buildProblem()
 	if err != nil {
 		return Effective{}, err
@@ -236,7 +241,7 @@ func (s SliceSpec) Homogenize() (Effective, error) {
 		}
 		p.Bounds[lo] = solver.DirichletBC(dT)
 		p.Bounds[hi] = solver.DirichletBC(0)
-		r, err := solver.SolveSteady(p, solver.Options{Tol: tol, MaxIter: 60000})
+		r, err := solver.SolveSteady(p, solver.Options{Tol: tol, MaxIter: 60000, Telemetry: tel})
 		if err != nil {
 			return 0, err
 		}

@@ -88,8 +88,7 @@ type Config struct {
 // cancellation and telemetry hooks attached.
 func (c Config) solverOpts() solver.Options {
 	return solver.Options{
-		Tol: c.Tol, MaxIter: 80000, Precond: solver.Multigrid,
-		Ctx: c.Ctx, Telemetry: c.Telemetry,
+		Tol: c.Tol, MaxIter: 80000, Ctx: c.Ctx, Telemetry: c.Telemetry,
 	}
 }
 

@@ -78,8 +78,9 @@ func TestSmallReduceBitIdentical(t *testing.T) {
 // TestSmallNParallelOverheadRegression pins the workers=2 small-n
 // regression fix: below the dispatch cutoff a multi-worker pool must
 // cost no more than ~1.1× the serial pool on the same kernel, because
-// both run the identical inline loop. Uses min-of-5 timings to shed
-// scheduler noise.
+// both run the identical inline loop. The serial and parallel
+// repetitions alternate (ABAB…) so host drift hits both pools alike,
+// and the min of 5 timings per pool sheds scheduler noise.
 func TestSmallNParallelOverheadRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short")
@@ -96,24 +97,22 @@ func TestSmallNParallelOverheadRegression(t *testing.T) {
 		}
 		return v
 	}
-	timePool := func(workers int) time.Duration {
-		p := NewPool(workers)
-		defer p.Close()
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 5; rep++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = p.ReduceSum(n, nil, kernel)
-				}
-			})
-			if d := time.Duration(r.NsPerOp()); d < best {
-				best = d
+	timeOnce := func(p *Pool) time.Duration {
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = p.ReduceSum(n, nil, kernel)
 			}
-		}
-		return best
+		})
+		return time.Duration(r.NsPerOp())
 	}
-	serial := timePool(1)
-	par := timePool(2)
+	p1, p2 := NewPool(1), NewPool(2)
+	defer p1.Close()
+	defer p2.Close()
+	serial, par := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for rep := 0; rep < 5; rep++ {
+		serial = min(serial, timeOnce(p1))
+		par = min(par, timeOnce(p2))
+	}
 	if float64(par) > 1.1*float64(serial) {
 		t.Errorf("workers=2 small-n ReduceSum %v exceeds 1.1× serial %v", par, serial)
 	}

@@ -151,7 +151,6 @@ func (d *DiscretePlacement) verify(r *Request) (*stack.Result, error) {
 	res, err := spec.Solve(solver.Options{
 		Tol:          r.Tol,
 		MaxIter:      80000,
-		Precond:      solver.Multigrid,
 		InitialGuess: d.lastT,
 		Ctx:          r.Ctx,
 		Telemetry:    r.Telemetry,

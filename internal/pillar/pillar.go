@@ -334,12 +334,12 @@ func Place(req Request) (*Placement, error) {
 	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {
 		eff, metal := fieldFor(lambda)
 		// The bisection re-solves the same stack ~20 times with nearby
-		// coverage fields: multigrid keeps each warm-started solve at a
-		// handful of iterations regardless of grid resolution.
+		// coverage fields: multigrid (the solver default) keeps each
+		// warm-started solve at a handful of iterations regardless of
+		// grid resolution.
 		res, err := specFor(eff).Solve(solver.Options{
-			Tol: r.Tol, MaxIter: 80000, Precond: solver.Multigrid,
-			InitialGuess: lastField, Ctx: r.Ctx, Telemetry: r.Telemetry,
-			Engine: eng,
+			Tol: r.Tol, MaxIter: 80000, InitialGuess: lastField,
+			Ctx: r.Ctx, Telemetry: r.Telemetry, Engine: eng,
 		})
 		if err != nil {
 			return 0, nil, nil, err

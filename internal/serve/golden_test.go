@@ -57,12 +57,11 @@ func goldenRequest() specio.EvalRequest {
 		{X0: 5, Y0: 1, X1: 8, Y1: 3, DensityWPerCm2: 25},
 		{X0: 0, Y0: 0, X1: 4, Y1: 4, DensityWPerCm2: 10},
 	}
-	req.Solver.Precond = "jacobi" // canonical form upgrades this to zline
 	return req
 }
 
 // TestGoldenRequestNormalization pins the canonical form: defaults
-// explicit, blocks rasterized, jacobi upgraded.
+// explicit (multigrid among them), blocks rasterized.
 func TestGoldenRequestNormalization(t *testing.T) {
 	norm, err := goldenRequest().Normalize()
 	if err != nil {

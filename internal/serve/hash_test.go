@@ -66,7 +66,7 @@ func TestKeyPermutationInvariance(t *testing.T) {
 	}
 
 	explicit := hashBase()
-	explicit.Solver = specio.SolverJSON{Precond: "zline", Tol: 1e-7, MaxIter: 100000}
+	explicit.Solver = specio.SolverJSON{Precond: "multigrid", Tol: 1e-7, MaxIter: 100000}
 	if k, _ := keyOf(t, explicit); k != base {
 		t.Fatal("writing the solver defaults explicitly changed the key")
 	}
@@ -81,12 +81,16 @@ func TestKeyPermutationInvariance(t *testing.T) {
 		}
 	}
 
-	// jacobi upgrades to zline during normalization (matching
-	// stack.Solve), so the two name the same solve.
+	// jacobi is its own key: an explicit preconditioner is honoured as
+	// given, so it must not share an address with the default or zline.
 	jacobi := hashBase()
 	jacobi.Solver.Precond = "jacobi"
-	if k, _ := keyOf(t, jacobi); k != base {
-		t.Fatal("jacobi (auto-upgraded to zline) hashed differently from zline")
+	zline := hashBase()
+	zline.Solver.Precond = "zline"
+	kj, _ := keyOf(t, jacobi)
+	kz, _ := keyOf(t, zline)
+	if kj == base || kj == kz {
+		t.Fatal("jacobi shares a content address with another preconditioner")
 	}
 
 	// Timeout and scheduling knobs are not part of the solution.
@@ -105,7 +109,7 @@ func TestKeySensitivity(t *testing.T) {
 	mutations := map[string]func(*specio.EvalRequest){
 		"tol":            func(r *specio.EvalRequest) { r.Solver.Tol = 1e-9 },
 		"max_iter":       func(r *specio.EvalRequest) { r.Solver.MaxIter = 77 },
-		"precond":        func(r *specio.EvalRequest) { r.Solver.Precond = "multigrid" },
+		"precond":        func(r *specio.EvalRequest) { r.Solver.Precond = "zline" },
 		"precision":      func(r *specio.EvalRequest) { r.Solver.Precision = "f32" },
 		"die_w":          func(r *specio.EvalRequest) { r.Stack.DieWUm = 250 },
 		"die_h":          func(r *specio.EvalRequest) { r.Stack.DieHUm = 250 },

@@ -297,7 +297,6 @@ func coarsenOperator(op *operator, xoff, yoff []int) *operator {
 		gyp:  make([]float64, nc),
 		gzp:  make([]float64, nc),
 		diag: make([]float64, nc),
-		b:    make([]float64, nc),
 	}
 	// Fine-cell "excess": the diagonal mass that is not face coupling —
 	// boundary conductance and (for the transient operator) the

@@ -12,20 +12,12 @@ import (
 	"thermalscaffold/internal/telemetry"
 )
 
-// Preconditioner selects the PCG preconditioner.
+// Preconditioner selects the PCG preconditioner. The zero value is
+// Multigrid, so an unset Options.Precond means multigrid at every
+// entry point; an explicit choice is honoured as given.
 type Preconditioner int
 
 const (
-	// Jacobi (diagonal) preconditioning — cheap, adequate for
-	// near-isotropic grids.
-	Jacobi Preconditioner = iota
-	// ZLine preconditioning solves the tridiagonal z-coupling of each
-	// vertical cell column exactly (Thomas algorithm). Chip stacks
-	// have lateral cells hundreds of times wider than their layers
-	// are thick, making vertical coupling stiff; line relaxation in z
-	// removes that stiffness and cuts iteration counts by an order of
-	// magnitude.
-	ZLine
 	// Multigrid preconditioning runs one geometric V-cycle per PCG
 	// iteration: x/y semi-coarsening (z stays at full resolution at
 	// every level), damped z-line smoothing, rediscretized coarse
@@ -34,7 +26,17 @@ const (
 	// count is nearly mesh-independent, so it is the fastest choice on
 	// large grids and for the repeated solves of the pillar placement
 	// loop. See internal/solver/multigrid.go and DESIGN.md §7.
-	Multigrid
+	Multigrid Preconditioner = iota
+	// ZLine preconditioning solves the tridiagonal z-coupling of each
+	// vertical cell column exactly (Thomas algorithm). Chip stacks
+	// have lateral cells hundreds of times wider than their layers
+	// are thick, making vertical coupling stiff; line relaxation in z
+	// removes that stiffness and cuts iteration counts by an order of
+	// magnitude.
+	ZLine
+	// Jacobi (diagonal) preconditioning — cheap, adequate for
+	// near-isotropic grids.
+	Jacobi
 )
 
 // String returns the flag-friendly name of the preconditioner.
@@ -51,14 +53,15 @@ func (p Preconditioner) String() string {
 }
 
 // ParsePreconditioner maps a CLI flag value ("jacobi", "zline",
-// "multigrid"/"mg") to the Preconditioner constant.
+// "multigrid"/"mg") to the Preconditioner constant. The empty string
+// selects Multigrid, matching the zero-value default.
 func ParsePreconditioner(s string) (Preconditioner, error) {
 	switch s {
 	case "jacobi":
 		return Jacobi, nil
 	case "zline":
 		return ZLine, nil
-	case "multigrid", "mg":
+	case "", "multigrid", "mg":
 		return Multigrid, nil
 	}
 	return 0, fmt.Errorf("solver: unknown preconditioner %q (want jacobi, zline, or multigrid)", s)
@@ -121,7 +124,8 @@ type Options struct {
 	// InitialGuess, when non-nil, seeds the iteration (and is not
 	// modified). Useful for continuation across parameter sweeps.
 	InitialGuess []float64
-	// Precond selects the preconditioner (default Jacobi).
+	// Precond selects the preconditioner (default Multigrid, the zero
+	// value).
 	Precond Preconditioner
 	// Precision selects the preconditioner's arithmetic tier (default
 	// F64, the historical bit-for-bit arithmetic). See Precision.

@@ -9,8 +9,8 @@ package specio
 // Normalization contract (the cache-key foundation, see DESIGN.md §9):
 // Normalize applies every default explicitly and rasterizes power
 // blocks into the power map, so requests that describe the same
-// physical problem — reordered blocks, omitted-vs-explicit defaults,
-// jacobi-vs-zline preconditioner — normalize to the same value and
+// physical problem — reordered blocks, omitted-vs-explicit defaults
+// ("" and "mg" both mean multigrid) — normalize to the same value and
 // therefore hash to the same content address.
 
 import (
@@ -39,9 +39,9 @@ type PowerBlock struct {
 }
 
 // SolverJSON carries the per-request solver controls. Zero values
-// select the service defaults (zline, 1e-7, 100000). TimeoutMS bounds
-// the solve wall-clock; it shapes scheduling, not the solution, so it
-// is excluded from the cache key.
+// select the service defaults (multigrid, 1e-7, 100000). TimeoutMS
+// bounds the solve wall-clock; it shapes scheduling, not the
+// solution, so it is excluded from the cache key.
 type SolverJSON struct {
 	Precond string  `json:"precond,omitempty"`
 	Tol     float64 `json:"tol,omitempty"`
@@ -157,29 +157,20 @@ const (
 )
 
 // Normalize validates the request and returns its canonical form:
-// solver defaults made explicit, the jacobi→zline upgrade applied
-// (matching stack.Solve), and power blocks rasterized into an
-// explicit per-map power map with UniformPower folded in. Two
+// solver defaults made explicit (an omitted preconditioner becomes
+// "multigrid", the solver's zero value; an explicit one is kept as
+// given), and power blocks rasterized into an explicit per-map
+// power map with UniformPower folded in. Two
 // requests describing the same problem normalize to equal values;
 // Normalize is idempotent.
 func (r EvalRequest) Normalize() (EvalRequest, error) {
 	out := r
 	s := &out.Solver
-	switch s.Precond {
-	case "":
-		s.Precond = solver.ZLine.String()
-	default:
-		pc, err := solver.ParsePreconditioner(s.Precond)
-		if err != nil {
-			return EvalRequest{}, fmt.Errorf("specio: %w", err)
-		}
-		// Plain Jacobi is never right for a chip stack; stack.Solve
-		// upgrades it, so the canonical form does too.
-		if pc == solver.Jacobi {
-			pc = solver.ZLine
-		}
-		s.Precond = pc.String()
+	pc, err := solver.ParsePreconditioner(s.Precond)
+	if err != nil {
+		return EvalRequest{}, fmt.Errorf("specio: %w", err)
 	}
+	s.Precond = pc.String()
 	prec, err := solver.ParsePrecision(s.Precision)
 	if err != nil {
 		return EvalRequest{}, fmt.Errorf("specio: %w", err)

@@ -29,7 +29,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := norm.Solver
-	if s.Precond != "zline" || s.Tol != 1e-7 || s.MaxIter != 100000 {
+	if s.Precond != "multigrid" || s.Tol != 1e-7 || s.MaxIter != 100000 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	// No blocks → the power map stays implicit.
@@ -37,14 +37,20 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatalf("block-free request should keep uniform power: %+v", norm.Stack)
 	}
 
-	jac := evalBase()
-	jac.Solver.Precond = "jacobi"
-	norm, err = jac.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Solver.Precond != "zline" {
-		t.Fatalf("jacobi not upgraded to zline: %q", norm.Solver.Precond)
+	// An explicit preconditioner is kept as given; "mg" canonicalizes
+	// to the default's name.
+	for in, want := range map[string]string{
+		"jacobi": "jacobi", "zline": "zline", "mg": "multigrid", "multigrid": "multigrid",
+	} {
+		r := evalBase()
+		r.Solver.Precond = in
+		norm, err := r.Normalize()
+		if err != nil {
+			t.Fatalf("precond %q: %v", in, err)
+		}
+		if norm.Solver.Precond != want {
+			t.Errorf("precond %q normalized to %q, want %q", in, norm.Solver.Precond, want)
+		}
 	}
 
 	// Precision canonicalizes: the default tier collapses to the empty

@@ -432,19 +432,12 @@ type Result struct {
 	Field  *solver.Result
 }
 
-// Solve builds and solves the stack. The zero Options.Precond
-// (Jacobi) is treated as "unset" and upgraded to the z-line
-// preconditioner — plain Jacobi is never the right choice for a chip
-// stack's anisotropy; callers wanting multigrid (or, for comparison
-// runs, genuinely wanting Jacobi-grade behavior) pass Precond
-// explicitly.
+// Solve builds and solves the stack. Options.Precond is passed through
+// as given: unset means the solver's default, multigrid.
 func (s *Spec) Solve(opts solver.Options) (*Result, error) {
 	p, lay, err := s.Build()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precond == solver.Jacobi {
-		opts.Precond = solver.ZLine
 	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-7
@@ -461,15 +454,12 @@ func (s *Spec) Solve(opts solver.Options) (*Result, error) {
 // device layers — hot stacks conduct measurably worse than the
 // constant-property model predicts. BEOL layers keep their
 // homogenized values (dielectric and copper temperature coefficients
-// are second-order over the 100–150 °C range).
+// are second-order over the 100–150 °C range). Options.Precond is
+// passed through as on Solve.
 func (s *Spec) SolveNonlinear(opts solver.Options) (*Result, error) {
 	p, lay, err := s.Build()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precond == solver.Jacobi {
-		// Zero value means unset, as on Solve.
-		opts.Precond = solver.ZLine
 	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-7
